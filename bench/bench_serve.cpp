@@ -9,8 +9,10 @@
  * keyless Mul→ModSwitch program. Two server configurations:
  *
  *   batched   — the Coalescer admits up to 64 requests per wavefront
- *               (max_wait 2 ms), so the tensor-product kernel runs as
- *               one batched dispatch spanning every in-flight client;
+ *               (group commit: an idle worker runs what is queued at
+ *               once, arrivals during a batch form the next), so the
+ *               tensor-product kernel runs as one batched dispatch
+ *               spanning every in-flight client;
  *   unbatched — the ablation (coalesce=false): every request executes
  *               as its own batch of one, i.e. per-session dispatch.
  *
@@ -289,7 +291,6 @@ BenchMain(int argc, char **argv)
 
     BatchConfig batched;
     batched.max_batch = 64;
-    batched.max_wait = std::chrono::microseconds(2000);
     BatchConfig unbatched;
     unbatched.coalesce = false;
 

@@ -3,9 +3,7 @@
 #include "serve/client.h"
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
-#include <thread>
 #include <utility>
 
 #include <sys/socket.h>
@@ -184,46 +182,62 @@ Client::Poll(u64 request_id)
                           FrameTypeName(reply->type))
             .WithFrame("Client::Poll");
     }
-    if (ctx_ == nullptr) {
-        return Status(ErrorCode::kFailedPrecondition,
-                      "poll result before CreateSession built the "
-                      "local context")
-            .WithFrame("Client::Poll");
-    }
-    Result<std::vector<WireCiphertext>> wcts =
-        DecodeCiphertextList(reply->payload);
-    if (!wcts.ok()) {
-        return wcts.status().WithFrame("Client::Poll");
+    Result<std::vector<he::Ciphertext>> outputs = DecodeDone(*reply);
+    if (!outputs.ok()) {
+        return outputs.status().WithFrame("Client::Poll");
     }
     outcome.done = true;
-    outcome.outputs.reserve(wcts->size());
-    for (const WireCiphertext &wct : *wcts) {
-        Result<he::Ciphertext> ct = CiphertextFromWire(*ctx_, wct);
-        if (!ct.ok()) {
-            return ct.status().WithFrame("Client::Poll");
-        }
-        outcome.outputs.push_back(std::move(*ct));
-    }
+    outcome.outputs = std::move(*outputs);
     return outcome;
 }
 
 Result<std::vector<he::Ciphertext>>
 Client::AwaitDone(u64 request_id)
 {
-    for (;;) {
-        Result<Outcome> outcome = Poll(request_id);
-        if (!outcome.ok()) {
-            return outcome.status().WithFrame("Client::AwaitDone");
-        }
-        if (outcome->done) {
-            return std::move(outcome->outputs);
-        }
-        // The daemon has no notification channel (polling keeps the
-        // protocol stateless between frames); a short sleep bounds the
-        // busy-wait without adding meaningful latency at max_wait
-        // granularity.
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    // One round trip: the daemon answers kAwait only once the request
+    // has settled (or at once, for an id this session does not own).
+    Result<Frame> reply =
+        RoundTrip(FrameType::kAwait, EncodeU64Payload(request_id));
+    if (!reply.ok()) {
+        return reply.status().WithFrame("Client::AwaitDone");
     }
+    if (reply->type != FrameType::kDone) {
+        return Status(ErrorCode::kInternal,
+                      std::string("expected Done, got ") +
+                          FrameTypeName(reply->type))
+            .WithFrame("Client::AwaitDone");
+    }
+    Result<std::vector<he::Ciphertext>> outputs = DecodeDone(*reply);
+    if (!outputs.ok()) {
+        return outputs.status().WithFrame("Client::AwaitDone");
+    }
+    return outputs;
+}
+
+Result<std::vector<he::Ciphertext>>
+Client::DecodeDone(const Frame &reply) const
+{
+    if (ctx_ == nullptr) {
+        return Status(ErrorCode::kFailedPrecondition,
+                      "result before CreateSession built the local "
+                      "context")
+            .WithFrame("Client::DecodeDone");
+    }
+    Result<std::vector<WireCiphertext>> wcts =
+        DecodeCiphertextList(reply.payload);
+    if (!wcts.ok()) {
+        return wcts.status().WithFrame("Client::DecodeDone");
+    }
+    std::vector<he::Ciphertext> outputs;
+    outputs.reserve(wcts->size());
+    for (const WireCiphertext &wct : *wcts) {
+        Result<he::Ciphertext> ct = CiphertextFromWire(*ctx_, wct);
+        if (!ct.ok()) {
+            return ct.status().WithFrame("Client::DecodeDone");
+        }
+        outputs.push_back(std::move(*ct));
+    }
+    return outputs;
 }
 
 Status

@@ -76,7 +76,8 @@ class Client
      *  consumed. Evaluation failures surface as the error Status. */
     [[nodiscard]] Result<Outcome> Poll(u64 request_id);
 
-    /** Poll until the request settles; returns its outputs. */
+    /** Block until the request settles; returns its outputs. One
+     *  kAwait round trip — the daemon replies when the result lands. */
     [[nodiscard]] Result<std::vector<he::Ciphertext>>
     AwaitDone(u64 request_id);
 
@@ -107,6 +108,10 @@ class Client
      *  error; anything else is handed back for dispatch. */
     [[nodiscard]] Result<Frame> RoundTrip(FrameType type,
                                           std::vector<u8> payload);
+
+    /** Rebuild a kDone reply's ciphertexts against the local context. */
+    [[nodiscard]] Result<std::vector<he::Ciphertext>>
+    DecodeDone(const Frame &reply) const;
 
     int fd_ = -1;
     u32 protocol_version_ = 0;

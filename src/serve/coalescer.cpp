@@ -100,9 +100,8 @@ Coalescer::Submit(std::shared_ptr<Session> session,
     request.inputs = std::move(inputs);
     request.ops = std::move(ops);
     request.outputs = std::move(outputs);
-    request.arrival = std::chrono::steady_clock::now();
     u64 id = 0;
-    std::size_t queued = 0;
+    bool was_empty = false;
     {
         MutexLock lock(mutex_);
         if (stop_ || !started_) {
@@ -110,19 +109,23 @@ Coalescer::Submit(std::shared_ptr<Session> session,
                           "coalescer is not running")
                 .WithFrame("Coalescer::Submit");
         }
+        if (queue_.size() >= config_.max_queue) {
+            return Status(ErrorCode::kResourceExhausted,
+                          "admission queue full (" +
+                              std::to_string(config_.max_queue) +
+                              " requests waiting)")
+                .WithFrame("Coalescer::Submit");
+        }
         id = next_request_id_++;
         request.id = id;
         inflight_[id] = request.session->id;
+        was_empty = queue_.empty();
         queue_.push_back(std::move(request));
-        queued = queue_.size();
         ++stats_.requests_submitted;
     }
-    // Wake the worker only on the transitions it acts on: the window
-    // opening (it must start the deadline timer) and the window
-    // filling (it must close early). Mid-window arrivals would only
-    // bounce it off wait_until — on a busy daemon that is two context
-    // switches per request for nothing.
-    if (queued == 1 || queued >= config_.max_batch) {
+    // Only an idle worker sleeps, and only on an empty queue; a busy
+    // one re-checks the queue when its batch lands.
+    if (was_empty) {
         cv_work_.notify_all();
     }
     return id;
@@ -245,27 +248,14 @@ Coalescer::WorkerLoop()
             if (stop_) {
                 break;
             }
-            if (config_.coalesce &&
-                queue_.size() < config_.max_batch) {
-                // Admission window: hold the batch open for more
-                // arrivals until the oldest request's deadline.
-                const auto deadline =
-                    queue_.front().arrival + config_.max_wait;
-                while (!stop_ &&
-                       queue_.size() < config_.max_batch &&
-                       std::chrono::steady_clock::now() < deadline) {
-                    cv_work_.wait_until(mutex_, deadline);
-                }
-                if (stop_) {
-                    break;
-                }
-            }
+            // Group commit: take what is queued now; arrivals during
+            // execution form the next batch.
             const std::size_t take =
                 config_.coalesce
                     ? std::min(queue_.size(), config_.max_batch)
                     : std::size_t{1};
             batch.reserve(take);
-            for (std::size_t i = 0; i < take && !queue_.empty(); ++i) {
+            for (std::size_t i = 0; i < take; ++i) {
                 batch.push_back(std::move(queue_.front()));
                 queue_.pop_front();
             }
@@ -300,7 +290,7 @@ Coalescer::WorkerLoop()
         cv_done_.notify_all();
     }
     // Drain on stop: everything still queued settles as kUnavailable
-    // so pollers (and the e2e suite) never hang on a dead daemon.
+    // so pollers and blocked Waits never hang on a dead daemon.
     {
         MutexLock lock(mutex_);
         while (!queue_.empty()) {

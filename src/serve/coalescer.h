@@ -7,11 +7,13 @@
  * lifted one more level: limb-batching amortised dispatch overhead
  * across a polynomial's rows, ciphertext-batching across one caller's
  * ops, and the coalescer amortises it across *clients*. Requests from
- * any number of sessions land in one queue; a worker admits up to
- * max_batch of them into a single graph, so every pool dispatch of
- * every wavefront stage spans all in-flight traffic. A max-wait
- * deadline bounds the admission window — a lone client pays at most
- * max_wait of added latency, never an unbounded starve.
+ * any number of sessions land in one queue. Admission is group commit:
+ * an idle worker runs whatever is queued right away (up to max_batch)
+ * in a single graph, and everything that arrives while that batch
+ * executes forms the next one. A lone client never waits for company;
+ * under load, batches grow on their own with the queue that piles up
+ * during execution. The queue is bounded: past max_queue waiting
+ * requests, Submit sheds with kResourceExhausted.
  *
  * Key handling: the batch graph carries per-node relinearization keys
  * (each request's ops point at the key version its session had loaded
@@ -30,7 +32,6 @@
 #ifndef HENTT_SERVE_COALESCER_H
 #define HENTT_SERVE_COALESCER_H
 
-#include <chrono>
 #include <deque>
 #include <map>
 #include <memory>
@@ -47,9 +48,9 @@ namespace hentt::serve {
 struct BatchConfig {
     /** Most requests admitted into one wavefront batch. */
     std::size_t max_batch = 64;
-    /** Longest the admission window stays open once a request is
-     *  queued — the lone-client latency bound. */
-    std::chrono::microseconds max_wait{2000};
+    /** Most requests waiting for admission; a Submit beyond it is shed
+     *  with kResourceExhausted. */
+    std::size_t max_queue = 4096;
     /** false = the unbatched ablation: every request executes as its
      *  own batch of one (bench_serve's comparison baseline). */
     bool coalesce = true;
@@ -80,15 +81,16 @@ class Coalescer
     void Start();
 
     /** Stop the worker; every still-queued request settles with
-     *  kUnavailable (pollers wake). Idempotent. */
+     *  kUnavailable (blocked waiters return). Idempotent. */
     void Stop();
 
     /**
      * Enqueue a program for @p session: materialised inputs, ops over
      * slots (inputs first, then op results), and the output slots to
      * return. Fails fast with kFailedPrecondition when the program
-     * key-switches but the session has loaded no keys. Returns the
-     * request id to poll.
+     * key-switches but the session has loaded no keys, and with
+     * kResourceExhausted when max_queue requests are already waiting.
+     * Returns the request id to poll or wait on.
      */
     [[nodiscard]] Result<u64>
     Submit(std::shared_ptr<Session> session,
@@ -106,9 +108,10 @@ class Coalescer
     [[nodiscard]] PollResult Poll(u64 request_id, u64 session_id)
         HENTT_EXCLUDES(mutex_);
 
-    /** Blocking Poll: waits until the request settles. Same ownership
-     *  scoping — a foreign @p session_id fails immediately rather than
-     *  blocking on a result it may never consume. */
+    /** Blocking Poll (the daemon's kAwait): waits until the request
+     *  settles. Same ownership scoping — a foreign @p session_id fails
+     *  immediately rather than blocking on a result it may never
+     *  consume. */
     [[nodiscard]] PollResult Wait(u64 request_id, u64 session_id)
         HENTT_EXCLUDES(mutex_);
 
@@ -138,7 +141,6 @@ class Coalescer
         std::vector<he::Ciphertext> inputs;
         std::vector<WireProgram::Op> ops;
         std::vector<u32> outputs;
-        std::chrono::steady_clock::time_point arrival;
     };
 
     void WorkerLoop() HENTT_EXCLUDES(mutex_);

@@ -36,6 +36,21 @@ MakeFrame(FrameType type, std::vector<u8> payload = {})
     return frame;
 }
 
+/** A settled request's reply: kDone + outputs, or its kError. */
+Frame
+SettledFrame(const PollResult &result)
+{
+    if (!result.status.ok()) {
+        return ErrorFrame(result.status);
+    }
+    std::vector<WireCiphertext> wcts;
+    wcts.reserve(result.outputs.size());
+    for (const he::Ciphertext &ct : result.outputs) {
+        wcts.push_back(ToWire(ct));
+    }
+    return MakeFrame(FrameType::kDone, EncodeCiphertextList(wcts));
+}
+
 }  // namespace
 
 Daemon::Daemon(DaemonConfig config)
@@ -140,6 +155,10 @@ Daemon::Wait()
     if (accept_thread_.joinable()) {
         accept_thread_.join();
     }
+    // Stop the coalescer first: queued requests settle as kUnavailable,
+    // which releases every connection thread blocked in a kAwait (it
+    // waits on the coalescer, not the socket). Later submits fail fast.
+    coalescer_.Stop();
     // Wake every connection thread blocked in ReadFrame, then join —
     // the still-live ones and any finished ones AcceptLoop has not
     // reaped yet.
@@ -163,7 +182,6 @@ Daemon::Wait()
             thread.join();
         }
     }
-    coalescer_.Stop();
     {
         MutexLock lock(mutex_);
         if (listen_fd_ >= 0) {
@@ -412,34 +430,36 @@ Daemon::HandleFrame(ConnState &conn, const Frame &request,
                              EncodeU64Payload(*id));
           }
 
-          case FrameType::kPoll: {
+          case FrameType::kPoll:
+          case FrameType::kAwait: {
+            const bool await = request.type == FrameType::kAwait;
             if (conn.session == nullptr) {
                 return ErrorFrame(
                     Status(ErrorCode::kFailedPrecondition,
-                           "Poll before CreateSession")
-                        .WithFrame("Daemon::Poll"));
+                           std::string(FrameTypeName(request.type)) +
+                               " before CreateSession")
+                        .WithFrame(await ? "Daemon::Await"
+                                         : "Daemon::Poll"));
             }
             Result<u64> id = DecodeU64Payload(request.payload);
             if (!id.ok()) {
                 return ErrorFrame(id.status());
             }
             // Scoped to the calling session: foreign ids read as
-            // unknown and never consume another client's result.
+            // unknown (at once, without blocking) and never consume
+            // another client's result. Await blocks this connection's
+            // thread only; the coalescer's Stop settles every queued
+            // request, so a shutdown never strands it.
+            if (await) {
+                return SettledFrame(
+                    coalescer_.Wait(*id, conn.session->id));
+            }
             PollResult result =
                 coalescer_.Poll(*id, conn.session->id);
             if (!result.done) {
                 return MakeFrame(FrameType::kPending);
             }
-            if (!result.status.ok()) {
-                return ErrorFrame(result.status);
-            }
-            std::vector<WireCiphertext> wcts;
-            wcts.reserve(result.outputs.size());
-            for (const he::Ciphertext &ct : result.outputs) {
-                wcts.push_back(ToWire(ct));
-            }
-            return MakeFrame(FrameType::kDone,
-                             EncodeCiphertextList(wcts));
+            return SettledFrame(result);
           }
 
           case FrameType::kCloseSession: {

@@ -6,8 +6,8 @@
  * accepted connection; one Coalescer turning all connections' traffic
  * into shared HeOpGraph wavefronts. The per-connection thread only
  * parses frames, validates payloads against its session, and
- * enqueues/polls — every HE kernel runs on the coalescer worker, so a
- * slow client never holds a compute lock.
+ * enqueues/polls/awaits — every HE kernel runs on the coalescer
+ * worker, so a slow client never holds a compute lock.
  *
  * Error contract: any failure while serving a parseable frame —
  * malformed payload, validation failure, injected fault, evaluation
@@ -19,8 +19,9 @@
  * undelivered results are dropped — no orphans).
  *
  * Shutdown: a kShutdown frame (or Stop()) stops the listener, wakes
- * Wait(), shuts every live connection down, joins all threads, stops
- * the coalescer, and unlinks the socket.
+ * Wait(), stops the coalescer (settling queued requests, and with them
+ * any blocked kAwait, as kUnavailable), shuts every live connection
+ * down, joins all threads, and unlinks the socket.
  */
 
 #ifndef HENTT_SERVE_DAEMON_H
@@ -65,8 +66,9 @@ class Daemon
 
     /**
      * Block until a stop is requested, then tear everything down:
-     * close the listener and every live connection, join all threads,
-     * stop the coalescer, unlink the socket. The CLI main's body.
+     * stop the coalescer, close the listener and every live
+     * connection, join all threads, unlink the socket. The CLI main's
+     * body.
      */
     void Wait() HENTT_EXCLUDES(mutex_);
 

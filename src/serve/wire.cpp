@@ -46,7 +46,7 @@ bool
 IsKnownFrameType(u8 type)
 {
     return type >= static_cast<u8>(FrameType::kCreateSession) &&
-           type <= static_cast<u8>(FrameType::kStatsReply);
+           type <= static_cast<u8>(kLastFrameType);
 }
 
 const char *
@@ -85,6 +85,8 @@ FrameTypeName(FrameType type)
         return "GetStats";
       case FrameType::kStatsReply:
         return "StatsReply";
+      case FrameType::kAwait:
+        return "Await";
     }
     return "Unknown";
 }

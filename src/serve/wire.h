@@ -43,10 +43,10 @@ inline constexpr u64 kClientMagic = 0x6c632174746e6568ull;
 /** Daemon-hello magic ("hentt!sv" LE) answering it. */
 inline constexpr u64 kDaemonMagic = 0x76732174746e6568ull;
 
-/** Highest protocol version this build speaks. */
-inline constexpr u32 kProtocolVersion = 1;
+/** Highest protocol version this build speaks (2 added kAwait). */
+inline constexpr u32 kProtocolVersion = 2;
 /** Lowest protocol version this build still accepts. */
-inline constexpr u32 kMinProtocolVersion = 1;
+inline constexpr u32 kMinProtocolVersion = 2;
 
 /** Hard cap on one frame's payload (a full 512-session ciphertext
  *  batch at bench parameters fits with two orders of magnitude to
@@ -79,7 +79,11 @@ enum class FrameType : u8 {
     kPong = 14,
     kGetStats = 15,       ///< → kStatsReply
     kStatsReply = 16,     ///< WireStats
+    kAwait = 17,          ///< request id → kDone | kError (blocks)
 };
+
+/** The highest frame type value; decoders reject anything above. */
+inline constexpr FrameType kLastFrameType = FrameType::kAwait;
 
 /** True for the type values the enum actually names. */
 bool IsKnownFrameType(u8 type);

@@ -5,9 +5,15 @@
  *
  * What must hold (the acceptance criteria of the serving layer):
  *   - a full encrypted round trip (keygen → session → keys → graph →
- *     poll → decrypt) produces the same plaintext as local evaluation;
- *   - concurrent clients coalesce: the daemon's stats prove requests
+ *     await → decrypt) produces the same plaintext as local evaluation;
+ *   - requests that arrive while a batch executes coalesce into the
+ *     next one (group commit): the daemon's stats prove requests
  *     shared a wavefront batch;
+ *   - awaits and polls are scoped to the owning session, and a request
+ *     still queued at shutdown settles as kUnavailable (no hung await);
+ *   - the admission queue is bounded: over-limit submits are shed as
+ *     kResourceExhausted and later requests are still served (an
+ *     in-process Coalescer test, at the end of the file);
  *   - every failure — protocol misuse, malformed bytes, missing keys,
  *     injected faults — reaches the client as a Status with the
  *     daemon's provenance, and the daemon keeps serving afterwards;
@@ -18,7 +24,10 @@
  * (trivially green) when failpoints are not compiled in; the CI serve
  * job runs this suite in both configurations. These tests carry the
  * `serve` ctest label: socket-bound and timing-windowed, they get a
- * tighter timeout and one CI retry (CMakeLists.txt).
+ * tighter timeout and one CI retry (CMakeLists.txt). The timing
+ * windows are held open by BusyProgram: one N=4096 × 8-limb request
+ * whose kernel time keeps the coalescer worker occupied while the
+ * test queues small requests behind it.
  */
 
 #include <gtest/gtest.h>
@@ -35,6 +44,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/mutex.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
 
@@ -65,14 +75,63 @@ template <typename Pred>
 bool
 EventuallyTrue(Pred pred)
 {
-    for (int i = 0; i < 200; ++i) {
+    for (int i = 0; i < 2000; ++i) {
         if (pred()) {
             return true;
         }
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     return pred();
 }
+
+/** The large class: one program here costs milliseconds of kernel
+ *  time, against microseconds at SmallParams. */
+he::HeParams
+LargeParams()
+{
+    he::HeParams params;
+    params.degree = 4096;
+    params.prime_count = 8;
+    params.prime_bits = 50;
+    params.plain_modulus = 257;
+    return params;
+}
+
+/**
+ * A request that keeps the coalescer worker busy: Mul → Relin →
+ * ModSwitch, squared kLevels times, over one LargeParams ciphertext
+ * pair. Every level depends on the last, so the whole chain runs
+ * inside one admitted batch and anything submitted meanwhile queues
+ * behind it.
+ */
+struct BusyProgram {
+    static constexpr u32 kLevels = 6;
+
+    explicit BusyProgram(std::shared_ptr<const he::HeContext> ctx)
+        : scheme(std::move(ctx), /*seed=*/3)
+    {
+        const he::SecretKey sk = scheme.KeyGen();
+        rk = std::make_shared<const he::RelinKey>(
+            scheme.MakeRelinKey(sk));
+        const he::Plaintext m(LargeParams().degree, 2);
+        inputs = {scheme.Encrypt(sk, m), scheme.Encrypt(sk, m)};
+        u32 a = 0, b = 1;
+        for (u32 level = 0; level < kLevels; ++level) {
+            const u32 mul = 2 + 3 * level;
+            ops.push_back({WireOp::kMul, a, b});
+            ops.push_back({WireOp::kRelin, mul, 0});
+            ops.push_back({WireOp::kModSwitch, mul + 1, 0});
+            a = b = mul + 2;
+        }
+        outputs = {a};
+    }
+
+    he::BgvScheme scheme;
+    std::shared_ptr<const he::RelinKey> rk;
+    std::vector<he::Ciphertext> inputs;
+    std::vector<WireProgram::Op> ops;
+    std::vector<u32> outputs;
+};
 
 class ServeE2E : public ::testing::Test
 {
@@ -95,6 +154,32 @@ class ServeE2E : public ::testing::Test
             Client::Connect(daemon_->socket_path());
         EXPECT_TRUE(client.ok()) << client.status().ToString();
         return client.ok() ? std::move(*client) : nullptr;
+    }
+
+    /**
+     * Occupy the worker: open a LargeParams session on a new client,
+     * submit a BusyProgram, and return once the worker has admitted it
+     * (batches_executed counts admissions). Returns the busy client;
+     * its request is still executing for milliseconds after this.
+     */
+    std::unique_ptr<Client>
+    OccupyWorker()
+    {
+        std::unique_ptr<Client> busy = NewClient();
+        if (busy == nullptr) {
+            return nullptr;
+        }
+        EXPECT_TRUE(busy->CreateSession(LargeParams()).ok());
+        const BusyProgram program(busy->context());
+        EXPECT_TRUE(busy->LoadKeys(*program.rk).ok());
+        const u64 admitted = daemon_->Stats().batches_executed;
+        Result<u64> request = busy->SubmitGraph(
+            program.inputs, program.ops, program.outputs);
+        EXPECT_TRUE(request.ok()) << request.status().ToString();
+        EXPECT_TRUE(EventuallyTrue([this, admitted] {
+            return daemon_->Stats().batches_executed > admitted;
+        }));
+        return busy;
     }
 
     void
@@ -174,26 +259,35 @@ TEST_F(ServeE2E, EncryptedRoundTripMatchesLocalEvaluation)
 
 TEST_F(ServeE2E, ConcurrentClientsCoalesceIntoSharedBatches)
 {
-    // A wide admission window guarantees concurrently submitted
-    // requests land in one batch; the stats must prove it.
-    BatchConfig batch;
-    batch.max_batch = 64;
-    batch.max_wait = std::chrono::microseconds(200000);
-    StartDaemon("batch", batch);
+    // Group commit: requests that arrive while the worker executes a
+    // batch form the next batch together. Hold the worker with one
+    // long request, let six small clients submit behind it, and the
+    // stats must show them sharing a batch.
+    StartDaemon("batch");
 
     const he::HeParams params = SmallParams();
     constexpr int kClients = 6;
     std::vector<std::thread> threads;
     std::vector<Status> outcomes(kClients);
+    Mutex gate_mutex;
+    CondVar gate_cv;
+    int ready = 0;
+    bool open = false;
     for (int c = 0; c < kClients; ++c) {
-        threads.emplace_back([this, &params, &outcomes, c] {
+        threads.emplace_back([&, c] {
             Result<std::unique_ptr<Client>> client =
                 Client::Connect(daemon_->socket_path());
-            if (!client.ok()) {
-                outcomes[c] = client.status();
-                return;
+            Result<u64> session =
+                client.ok() ? (*client)->CreateSession(params)
+                            : Result<u64>(client.status());
+            {
+                MutexLock lock(gate_mutex);
+                ++ready;
+                gate_cv.notify_all();
+                while (!open) {
+                    gate_cv.wait(gate_mutex);
+                }
             }
-            Result<u64> session = (*client)->CreateSession(params);
             if (!session.ok()) {
                 outcomes[c] = session.status();
                 return;
@@ -226,6 +320,22 @@ TEST_F(ServeE2E, ConcurrentClientsCoalesceIntoSharedBatches)
             }
         });
     }
+    {
+        // Every small client is connected with a session before the
+        // worker is occupied, so the submits below are one round trip
+        // each.
+        MutexLock lock(gate_mutex);
+        while (ready < kClients) {
+            gate_cv.wait(gate_mutex);
+        }
+    }
+    std::unique_ptr<Client> busy = OccupyWorker();
+    ASSERT_NE(busy, nullptr);
+    {
+        MutexLock lock(gate_mutex);
+        open = true;
+    }
+    gate_cv.notify_all();
     for (std::thread &thread : threads) {
         thread.join();
     }
@@ -235,13 +345,13 @@ TEST_F(ServeE2E, ConcurrentClientsCoalesceIntoSharedBatches)
     }
     const WireStats stats = daemon_->Stats();
     EXPECT_EQ(stats.requests_completed,
-              static_cast<u64>(kClients));
+              static_cast<u64>(kClients + 1));
     // The batching proof: at least one batch held >1 request. (All six
-    // submits race one 200ms admission window, so in practice all of
-    // them share a batch; >1 is the robust floor.)
+    // submit while the long request executes, so in practice they form
+    // one batch of six; >1 is the robust floor.)
     EXPECT_GT(stats.max_batch_observed, 1u)
         << "no cross-client coalescing observed: "
-        << stats.batches_executed << " batches for " << kClients
+        << stats.batches_executed << " batches for " << kClients + 1
         << " requests";
     EXPECT_GT(stats.coalesced_requests, 0u);
 }
@@ -344,6 +454,94 @@ TEST_F(ServeE2E, PollIsScopedToTheOwningSession)
     ASSERT_TRUE(outputs.ok()) << outputs.status().ToString();
     EXPECT_EQ(scheme.Decrypt(sk, outputs->front()),
               he::Plaintext(SmallParams().degree, 14));
+}
+
+TEST_F(ServeE2E, AwaitIsScopedAndNeverBlocksOnForeignIds)
+{
+    // kAwait blocks the connection until the request settles — but
+    // only for the owner. A foreign or unknown id must come back as
+    // "unknown request id" at once (never wait out someone else's
+    // request) and must not consume the owner's result.
+    StartDaemon("await-scope");
+    std::unique_ptr<Client> owner = NewClient();
+    ASSERT_NE(owner, nullptr);
+    ASSERT_TRUE(owner->CreateSession(SmallParams()).ok());
+    he::BgvScheme scheme(owner->context(), /*seed=*/13);
+    he::SecretKey sk = scheme.KeyGen();
+    he::Ciphertext ct =
+        scheme.Encrypt(sk, he::Plaintext(SmallParams().degree, 9));
+    std::unique_ptr<Client> thief = NewClient();
+    ASSERT_NE(thief, nullptr);
+
+    // The owner's request queues behind a long one: while the thief
+    // awaits it, it is in flight, not settled.
+    std::unique_ptr<Client> busy = OccupyWorker();
+    ASSERT_NE(busy, nullptr);
+    Result<u64> request =
+        owner->SubmitGraph({ct, ct}, {{WireOp::kAdd, 0, 1}}, {2});
+    ASSERT_TRUE(request.ok()) << request.status().ToString();
+
+    // No session at all: rejected outright.
+    Result<std::vector<he::Ciphertext>> no_session =
+        thief->AwaitDone(*request);
+    ASSERT_FALSE(no_session.ok());
+    EXPECT_EQ(no_session.status().code(),
+              ErrorCode::kFailedPrecondition);
+
+    // Own session, foreign id, and an id that never existed: the same
+    // immediate answer.
+    ASSERT_TRUE(thief->CreateSession(SmallParams()).ok());
+    Result<std::vector<he::Ciphertext>> stolen =
+        thief->AwaitDone(*request);
+    ASSERT_FALSE(stolen.ok());
+    EXPECT_EQ(stolen.status().code(), ErrorCode::kFailedPrecondition);
+    Result<std::vector<he::Ciphertext>> unknown =
+        thief->AwaitDone(991199);
+    ASSERT_FALSE(unknown.ok());
+    EXPECT_EQ(unknown.status().code(), ErrorCode::kFailedPrecondition);
+    // Had either await blocked until a request settled, the long
+    // request at least would have completed by now.
+    EXPECT_EQ(daemon_->Stats().requests_completed, 0u)
+        << "a foreign-id await waited for a request to settle";
+
+    // Nothing was consumed: the owner collects and decrypts.
+    Result<std::vector<he::Ciphertext>> outputs =
+        owner->AwaitDone(*request);
+    ASSERT_TRUE(outputs.ok()) << outputs.status().ToString();
+    EXPECT_EQ(scheme.Decrypt(sk, outputs->front()),
+              he::Plaintext(SmallParams().degree, 18));
+}
+
+TEST_F(ServeE2E, AwaitOfARequestQueuedAtShutdownSettlesUnavailable)
+{
+    // A daemon stopping with work still queued must release every
+    // blocked kAwait: the queued request settles as kUnavailable, the
+    // await returns, and the daemon's teardown completes.
+    StartDaemon("await-stop");
+    std::unique_ptr<Client> client = NewClient();
+    ASSERT_NE(client, nullptr);
+    ASSERT_TRUE(client->CreateSession(SmallParams()).ok());
+    he::BgvScheme scheme(client->context(), /*seed=*/14);
+    he::SecretKey sk = scheme.KeyGen();
+    he::Ciphertext ct =
+        scheme.Encrypt(sk, he::Plaintext(SmallParams().degree, 1));
+
+    std::unique_ptr<Client> busy = OccupyWorker();
+    ASSERT_NE(busy, nullptr);
+    Result<u64> request =
+        client->SubmitGraph({ct, ct}, {{WireOp::kAdd, 0, 1}}, {2});
+    ASSERT_TRUE(request.ok()) << request.status().ToString();
+    Status awaited;
+    std::thread waiter([&client, &request, &awaited] {
+        awaited = client->AwaitDone(*request).status();
+    });
+    daemon_->Stop();
+    waiter.join();
+    // Either the daemon's kError reply or, if teardown closed the
+    // socket first, the transport's EOF — both read kUnavailable.
+    ASSERT_FALSE(awaited.ok());
+    EXPECT_EQ(awaited.code(), ErrorCode::kUnavailable)
+        << awaited.ToString();
 }
 
 TEST_F(ServeE2E, MalformedFrameBytesGetErrorReplyAndDaemonSurvives)
@@ -554,6 +752,119 @@ TEST_F(ServeE2E, UnbatchedAblationStillServes)
     const WireStats stats = daemon_->Stats();
     EXPECT_EQ(stats.coalesced_requests, 0u);
     EXPECT_EQ(stats.max_batch_observed, 1u);
+}
+
+// ------------------------------------------- in-process Coalescer tests
+
+TEST(Coalescer, OverLimitSubmitIsShedAndLaterRequestsAreServed)
+{
+    // The admission queue is bounded: with max_queue requests already
+    // waiting behind a busy worker, the next Submit is shed with
+    // kResourceExhausted (provenance: Coalescer::Submit). Shedding is
+    // per request — the queued ones still run, and once the queue
+    // drains new submits are admitted again.
+    BatchConfig config;
+    config.max_queue = 4;
+    auto arena = std::make_shared<he::ScratchArena>();
+    SessionManager sessions(arena);
+    Coalescer coalescer(config, arena);
+    coalescer.Start();
+
+    Result<std::shared_ptr<Session>> large =
+        sessions.Create(LargeParams());
+    ASSERT_TRUE(large.ok()) << large.status().ToString();
+    const BusyProgram busy((*large)->ctx);
+    (*large)->SetRelinKey(busy.rk);
+    Result<std::shared_ptr<Session>> small =
+        sessions.Create(SmallParams());
+    ASSERT_TRUE(small.ok()) << small.status().ToString();
+    he::BgvScheme scheme((*small)->ctx, /*seed=*/15);
+    const he::SecretKey sk = scheme.KeyGen();
+    const he::Ciphertext ct =
+        scheme.Encrypt(sk, he::Plaintext(SmallParams().degree, 4));
+    const auto submit_small = [&] {
+        return coalescer.Submit(*small, {ct, ct},
+                                {{WireOp::kAdd, 0, 1}}, {2});
+    };
+
+    Result<u64> busy_id =
+        coalescer.Submit(*large, busy.inputs, busy.ops, busy.outputs);
+    ASSERT_TRUE(busy_id.ok()) << busy_id.status().ToString();
+    ASSERT_TRUE(EventuallyTrue([&coalescer] {
+        return coalescer.StatsSnapshot().batches_executed == 1;
+    }));
+
+    std::vector<u64> queued;
+    for (std::size_t i = 0; i < config.max_queue; ++i) {
+        Result<u64> id = submit_small();
+        ASSERT_TRUE(id.ok()) << id.status().ToString();
+        queued.push_back(*id);
+    }
+    Result<u64> shed = submit_small();
+    ASSERT_FALSE(shed.ok());
+    EXPECT_EQ(shed.status().code(), ErrorCode::kResourceExhausted)
+        << shed.status().ToString();
+    ASSERT_FALSE(shed.status().frames().empty());
+    EXPECT_EQ(shed.status().frames().front(), "Coalescer::Submit");
+    EXPECT_EQ(coalescer.StatsSnapshot().requests_submitted,
+              1u + config.max_queue);
+
+    EXPECT_TRUE(coalescer.Wait(*busy_id, (*large)->id).status.ok());
+    const he::Plaintext sum(SmallParams().degree, 8);
+    for (const u64 id : queued) {
+        PollResult result = coalescer.Wait(id, (*small)->id);
+        ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+        EXPECT_EQ(scheme.Decrypt(sk, result.outputs.front()), sum);
+    }
+    Result<u64> later = submit_small();
+    ASSERT_TRUE(later.ok()) << later.status().ToString();
+    PollResult result = coalescer.Wait(*later, (*small)->id);
+    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+    EXPECT_EQ(scheme.Decrypt(sk, result.outputs.front()), sum);
+    coalescer.Stop();
+}
+
+TEST(Coalescer, StopSettlesQueuedRequestsAndReleasesWaiters)
+{
+    // A blocked Wait on a request still queued when the coalescer stops
+    // returns kUnavailable from the stop drain — the guarantee the
+    // daemon's kAwait relies on to never strand a connection thread.
+    auto arena = std::make_shared<he::ScratchArena>();
+    SessionManager sessions(arena);
+    Coalescer coalescer(BatchConfig{}, arena);
+    coalescer.Start();
+    Result<std::shared_ptr<Session>> large =
+        sessions.Create(LargeParams());
+    ASSERT_TRUE(large.ok()) << large.status().ToString();
+    const BusyProgram busy((*large)->ctx);
+    (*large)->SetRelinKey(busy.rk);
+    Result<std::shared_ptr<Session>> small =
+        sessions.Create(SmallParams());
+    ASSERT_TRUE(small.ok()) << small.status().ToString();
+    he::BgvScheme scheme((*small)->ctx, /*seed=*/16);
+    const he::Ciphertext ct = scheme.Encrypt(
+        scheme.KeyGen(), he::Plaintext(SmallParams().degree, 1));
+
+    ASSERT_TRUE(
+        coalescer.Submit(*large, busy.inputs, busy.ops, busy.outputs)
+            .ok());
+    ASSERT_TRUE(EventuallyTrue([&coalescer] {
+        return coalescer.StatsSnapshot().batches_executed == 1;
+    }));
+    Result<u64> queued =
+        coalescer.Submit(*small, {ct, ct}, {{WireOp::kAdd, 0, 1}}, {2});
+    ASSERT_TRUE(queued.ok()) << queued.status().ToString();
+    PollResult waited;
+    std::thread waiter([&] {
+        waited = coalescer.Wait(*queued, (*small)->id);
+    });
+    coalescer.Stop();
+    waiter.join();
+    ASSERT_TRUE(waited.done);
+    EXPECT_EQ(waited.status.code(), ErrorCode::kUnavailable)
+        << waited.status.ToString();
+    EXPECT_EQ(coalescer.StatsSnapshot().batches_executed, 1u)
+        << "the queued request executed instead of settling";
 }
 
 }  // namespace

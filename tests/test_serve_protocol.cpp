@@ -238,7 +238,7 @@ HENTT_PBT_PROP(ServeProtocol, FrameRoundTripEveryType, 200,
     // frame codec is payload-agnostic, so any bytes must survive.
     Frame frame;
     frame.type = static_cast<FrameType>(
-        1 + case_index % static_cast<u64>(FrameType::kStatsReply));
+        1 + case_index % static_cast<u64>(kLastFrameType));
     frame.payload.resize(rng.NextBelow(64));
     for (u8 &b : frame.payload) {
         b = static_cast<u8>(rng.Next());
@@ -319,7 +319,7 @@ TEST(ServeProtocol, UnknownFrameTypeRejected)
     ASSERT_FALSE(zero.ok());
     EXPECT_EQ(zero.status().code(), ErrorCode::kInvalidArgument);
 
-    bytes[5] = static_cast<u8>(FrameType::kStatsReply) + 1;
+    bytes[5] = static_cast<u8>(kLastFrameType) + 1;
     Result<Frame> high = DecodeFrameFromBuffer(bytes, consumed);
     ASSERT_FALSE(high.ok());
     EXPECT_EQ(high.status().code(), ErrorCode::kInvalidArgument);

@@ -10,7 +10,7 @@
  *   shutdown  stop the daemon
  *
  * The demo is the CI smoke test for the built binaries: it exercises
- * the whole wire path (handshake, session, keys, graph, poll) against
+ * the whole wire path (handshake, session, keys, graph, await) against
  * a real daemon process and exits non-zero unless the decrypted result
  * matches the locally computed product.
  */

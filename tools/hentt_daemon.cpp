@@ -24,8 +24,6 @@ Usage(const char *argv0)
         << "  --socket PATH      unix-domain socket to listen on\n"
         << "  --max-batch N      requests coalesced per wavefront "
            "batch (default 64)\n"
-        << "  --max-wait-us N    admission-window deadline in "
-           "microseconds (default 2000)\n"
         << "  --no-coalesce      execute every request as a batch of "
            "one (ablation)\n";
 }
@@ -43,9 +41,6 @@ main(int argc, char **argv)
         } else if (arg == "--max-batch" && i + 1 < argc) {
             config.batch.max_batch =
                 static_cast<std::size_t>(std::atoll(argv[++i]));
-        } else if (arg == "--max-wait-us" && i + 1 < argc) {
-            config.batch.max_wait =
-                std::chrono::microseconds(std::atoll(argv[++i]));
         } else if (arg == "--no-coalesce") {
             config.batch.coalesce = false;
         } else {
@@ -75,7 +70,7 @@ main(int argc, char **argv)
     }
     std::cout << "hentt-daemon listening on " << config.socket_path
               << " (max_batch=" << config.batch.max_batch
-              << ", max_wait_us=" << config.batch.max_wait.count()
+              << ", max_queue=" << config.batch.max_queue
               << ", coalesce="
               << (config.batch.coalesce ? "on" : "off") << ")"
               << std::endl;
