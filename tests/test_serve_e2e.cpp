@@ -683,10 +683,10 @@ TEST_F(ServeE2E, ChaosSweepNeverKillsTheDaemon)
 
     // Probabilistic sweep: every outcome must be either success or a
     // clean kInjected Status; the daemon must survive all of it. A
-    // request crosses the armed site several times (submit handler,
-    // coalescer admission, every poll round trip — the poll count is
-    // timing-dependent), so a fixed iteration count can land all-
-    // injected; sweep until both outcomes have occurred, capped.
+    // request crosses the armed site three times (submit handler,
+    // coalescer admission, the await round trip), so a fixed
+    // iteration count can land all-injected; sweep until both
+    // outcomes have occurred, capped.
     fp::SeedRng(0xC0FFEE);
     fp::Arm(fp::kServeRequest, 0.4);
     int injected = 0, succeeded = 0;
